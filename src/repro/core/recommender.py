@@ -40,6 +40,29 @@ PAPER_STRATEGIES = ("focus_cmp", "focus_cl", "breadth", "best_match")
 _CSR_STRATEGIES = frozenset(PAPER_STRATEGIES)
 
 
+def _space_sizes(
+    runner: RankingStrategy, model: ModelView, encoded: frozenset[int]
+) -> tuple[int, int, int, int]:
+    """``(|IS|, |GS|, |AS|, |AS − H|)`` for the trace-detail span attributes.
+
+    A :class:`~repro.core.vectorized.CsrStrategy` runner carries its engine,
+    which derives the sizes from the arrays it already holds; any other
+    runner falls back to the scalar space queries on ``model``.
+    """
+    engine = getattr(runner, "engine", None)
+    if engine is not None:
+        sizes: tuple[int, int, int, int] = engine.space_sizes(encoded)
+        return sizes
+    impl_space = model.implementation_space(encoded)
+    action_space = model.action_space(encoded)
+    return (
+        len(impl_space),
+        len(model.goal_space(encoded)),
+        len(action_space),
+        len(action_space - encoded),
+    )
+
+
 class _RequestSpaceMemo:
     """One-request memo of the space pipeline over an *uncached* model.
 
@@ -314,11 +337,13 @@ class GoalRecommender:
 
         Emits a ``recommend`` span carrying the strategy name, and records
         the per-strategy latency histogram and request counter.  The space
-        sizes |IS(H)|, |GS(H)|, |AS(H)| cost three extra index queries —
-        far more than the span machinery itself — so they are computed only
-        when *trace detail* is enabled on top of tracing
-        (``obs.enable(trace_detail=True)``); the ≤10% enabled-path overhead
-        budget of ``benchmarks/bench_obs_overhead.py`` holds without them.
+        sizes |IS(H)|, |GS(H)|, |AS(H)| are computed only when *trace
+        detail* is enabled on top of tracing
+        (``obs.enable(trace_detail=True)``).  A CSR-routed request reads
+        them off the engine's arrays; a scalar one runs the three index
+        queries, which cost more than the span machinery itself — the ≤10%
+        enabled-path overhead budget of ``benchmarks/bench_obs_overhead.py``
+        holds without them.
         """
         with obs.trace_span("recommend", strategy=chosen.name, k=k) as span:
             start = perf_counter()
@@ -354,14 +379,14 @@ class GoalRecommender:
                     returned=len(result.items),
                 )
                 if obs.trace_detail_enabled():
-                    model = rank_model
-                    impl_space = model.implementation_space(encoded)
-                    action_space = model.action_space(encoded)
+                    is_size, gs_size, as_size, candidates = _space_sizes(
+                        chosen, rank_model, encoded
+                    )
                     span.set_attrs(
-                        is_size=len(impl_space),
-                        gs_size=len(model.goal_space(encoded)),
-                        as_size=len(action_space),
-                        candidates=len(action_space - encoded),
+                        is_size=is_size,
+                        gs_size=gs_size,
+                        as_size=as_size,
+                        candidates=candidates,
                     )
         return result
 

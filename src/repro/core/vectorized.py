@@ -98,6 +98,20 @@ def _gather_positions(
     return positions, lengths
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``values``, which is sorted in place.
+
+    ``np.unique`` minus its generic-path overhead, which dominates on the
+    few-hundred-entry arrays of one request; callers pass a freshly
+    gathered array they own.
+    """
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class BatchRecommender:
     """Vectorized scorer over a frozen goal model.
 
@@ -579,6 +593,38 @@ class BatchRecommender:
         if degenerate.any():
             scores[degenerate] = -1.0
         return candidates, scores
+
+    def space_sizes(self, activity: frozenset[int]) -> tuple[int, int, int, int]:
+        """``(|IS(H)|, |GS(H)|, |AS(H)|, |AS(H) − H|)`` from the engine's arrays.
+
+        Equal to the ``len`` of the scalar ``implementation_space`` /
+        ``goal_space`` / ``action_space`` / ``candidate_actions`` queries,
+        but gathered from the posting lists, the rows of ``M`` and the
+        implementation → goal map, so span attributes and quality samples
+        on the CSR path never walk Python sets.  Each space is derived
+        inside a stage span of the same name as the scalar query's, so the
+        stage profiler times the engine's work when tracing is on.
+        """
+        act = self._activity_array(activity)
+        with obs.trace_span("implementation_space") as span:
+            touched = (
+                np.concatenate([self._post_rows[a] for a in activity])
+                if activity
+                else np.empty(0, dtype=np.int64)
+            )
+            pids = _distinct(touched)
+            span.set_attrs(activity_size=act.size, size=pids.size)
+        with obs.trace_span("goal_space") as span:
+            goals = _distinct(self._goal_of_impl[pids]).size
+            span.set_attrs(activity_size=act.size, size=goals)
+        with obs.trace_span("action_space") as span:
+            positions, _ = _gather_positions(self._m_indptr, pids)
+            reached = np.zeros(self.model.num_actions, dtype=bool)
+            reached[self._m_indices[positions]] = True
+            as_size = int(np.count_nonzero(reached))
+            span.set_attrs(activity_size=act.size, size=as_size)
+        overlap = int(np.count_nonzero(reached[act]))
+        return pids.size, goals, as_size, as_size - overlap
 
     def best_match_distances(self, activity: frozenset[int]) -> dict[int, float]:
         """Cosine distances of every candidate to the goal-space profile."""

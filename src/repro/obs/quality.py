@@ -66,6 +66,7 @@ EventSink = Callable[[str, dict[str, object]], None]
 #: sliding-window state is shared across the service's handler threads.
 _GUARDED_BY = {
     "DriftDetector._baseline": "_lock",
+    "DriftDetector._absent_term": "_lock",
     "DriftDetector._window": "_lock",
     "DriftDetector._counts": "_lock",
     "DriftDetector._since_recompute": "_lock",
@@ -93,10 +94,14 @@ _GUARDED_BY = {
 _logger = get_logger("repro.obs.quality")
 
 
+#: Probability floor of every PSI cell, so empty cells contribute finitely.
+PSI_EPSILON = 1e-6
+
+
 def population_stability_index(
     baseline: Mapping[str, float],
     live: Mapping[str, float],
-    epsilon: float = 1e-6,
+    epsilon: float = PSI_EPSILON,
 ) -> float:
     """PSI between a baseline and a live probability distribution.
 
@@ -109,6 +114,10 @@ def population_stability_index(
 
     Rule of thumb from the credit-scoring literature: < 0.1 stable,
     0.1–0.25 moderate shift, > 0.25 drifted.
+
+    This is the reference form: it walks the whole baseline.
+    :class:`DriftDetector` computes the same score from the live window
+    alone, and tests compare it against this function.
     """
     score = 0.0
     for label in sorted(baseline):
@@ -124,6 +133,31 @@ def population_stability_index(
         p_live = max(oov_mass, epsilon)
         score += (p_live - epsilon) * math.log(p_live / epsilon)
     return score
+
+
+def _psi_cell(p_live: float, p_base: float) -> float:
+    """One PSI cell ``(p_live − p_base) · ln(p_live / p_base)``, floored."""
+    p_live = max(p_live, PSI_EPSILON)
+    p_base = max(p_base, PSI_EPSILON)
+    return (p_live - p_base) * math.log(p_live / p_base)
+
+
+def _absent_label_term(baseline: Mapping[str, float]) -> float:
+    """``C_B``: the PSI of ``baseline`` against a live window that is empty.
+
+    Every baseline label missing from the live window contributes the
+    cell ``t(ε, p_base)``.  Summing those cells once per baseline, in
+    sorted label order, lets :class:`DriftDetector` score a window in
+    ``O(|window|)``::
+
+        PSI = C_B + Σ_{ℓ ∈ W ∩ B} [t(p_live, p_base) − t(ε, p_base)] + OOV
+
+    instead of walking every baseline label per recompute.
+    """
+    term = 0.0
+    for label in sorted(baseline):
+        term += _psi_cell(0.0, baseline[label])
+    return term
 
 
 @dataclass(frozen=True)
@@ -185,6 +219,12 @@ class DriftDetector:
     events, never the score), so the same seeded request stream replays to
     bit-identical scores.  Recomputing every ``recompute_every``
     observations amortizes the PSI pass; tests set it to 1.
+
+    A recompute reads only the window's distinct labels: the baseline's
+    absent-label term ``C_B`` (:func:`_absent_label_term`) is summed once
+    per :meth:`set_baseline`, so the work done under the lock is
+    ``O(|window|)``, not ``O(|baseline|)``.  The score equals
+    :func:`population_stability_index` to within float rounding.
     """
 
     def __init__(
@@ -208,6 +248,7 @@ class DriftDetector:
         self.event_sink = event_sink
         self._lock = threading.Lock()
         self._baseline: BaselineProfile | None = None
+        self._absent_term = 0.0
         self._window: deque[str] = deque()
         self._counts: Counter[str] = Counter()
         self._since_recompute = 0
@@ -242,9 +283,12 @@ class DriftDetector:
 
         Called at model load and on every hot-reload generation swap: the
         old window described traffic scored against the old vocabulary.
+        The baseline's ``C_B`` is summed here, outside the lock.
         """
+        absent_term = _absent_label_term(baseline.distribution)
         with self._lock:
             self._baseline = baseline
+            self._absent_term = absent_term
             self._window.clear()
             self._counts.clear()
             self._since_recompute = 0
@@ -277,11 +321,27 @@ class DriftDetector:
                 return
             self._since_recompute = 0
             total = len(self._window)
-            live = {
-                label: count / total for label, count in self._counts.items()
-            }
-            self._psi = population_stability_index(baseline.distribution, live)
-            score = self._psi
+            distribution = baseline.distribution
+            counts = self._counts
+            log = math.log
+            score = self._absent_term
+            oov_mass = 0.0
+            # C_B + Σ_{ℓ ∈ W ∩ B} [t(p_live, p_base) − t(ε, p_base)], with
+            # the cells inlined: this loop is the whole recompute.
+            for label in sorted(counts):
+                p_live = counts[label] / total
+                p_base = distribution.get(label)
+                if p_base is None:
+                    oov_mass += p_live
+                    continue
+                p_live = max(p_live, PSI_EPSILON)
+                p_base = max(p_base, PSI_EPSILON)
+                score += (p_live - p_base) * log(p_live / p_base) - (
+                    PSI_EPSILON - p_base
+                ) * log(PSI_EPSILON / p_base)
+            if oov_mass > 0.0:
+                score += _psi_cell(oov_mass, 0.0)
+            self._psi = score
             crossed = score >= self.threshold
             if crossed and not self._alerting:
                 self._alerts += 1
@@ -596,15 +656,24 @@ class QualityMonitor:
         return handles
 
     def _observe_spaces(self, model: "ModelView", activity: frozenset[int]) -> None:
-        """Record |IS|/|GS|/|AS| for one deterministically sampled request."""
+        """Record |IS|/|GS|/|AS| for one deterministically sampled request.
+
+        A model exposing a CSR engine (the serving layer's cached views)
+        answers from the engine's arrays; any other model runs the scalar
+        space queries.
+        """
         if not runtime.metrics_enabled():
             return
         registry = obs_metrics.get_registry()
-        sizes = (
-            ("is", len(model.implementation_space(activity))),
-            ("gs", len(model.goal_space(activity))),
-            ("as", len(model.action_space(activity))),
-        )
+        factory = getattr(model, "csr_engine", None)
+        engine = factory() if factory is not None else None
+        if engine is not None:
+            is_size, gs_size, as_size, _candidates = engine.space_sizes(activity)
+        else:
+            is_size = len(model.implementation_space(activity))
+            gs_size = len(model.goal_space(activity))
+            as_size = len(model.action_space(activity))
+        sizes = (("is", is_size), ("gs", gs_size), ("as", as_size))
         for space, size in sizes:
             registry.histogram(
                 "repro_quality_space_size_items",

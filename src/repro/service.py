@@ -1551,9 +1551,15 @@ def _build_server(
       platform lacks the option — the supervisor falls back to an
       inherited listener);
     - ``listen_socket``: adopt an already-bound, already-listening socket
-      (the pre-fork parent's), skipping bind/listen entirely.
+      (the pre-fork parent's), skipping bind/listen entirely.  The socket
+      is made non-blocking: every worker's ``select()`` wakes for one
+      incoming connection, and the workers that lose the ``accept()``
+      race must get ``BlockingIOError`` (which ``socketserver`` ignores)
+      instead of blocking in ``accept()``, where ``shutdown()`` cannot
+      reach them and a drain would hang.
     """
     if listen_socket is not None:
+        listen_socket.setblocking(False)
         server = ThreadingHTTPServer((host, port), handler,
                                      bind_and_activate=False)
         server.socket.close()

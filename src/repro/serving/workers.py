@@ -28,7 +28,9 @@ Mutation protocol
 
 Lifecycle
     SIGTERM/SIGINT on the parent fans a ``drain`` command out to every
-    worker (each runs the normal ``RecommenderService.drain()``); a
+    worker (each runs the normal ``RecommenderService.drain()``), and a
+    worker that outlives its drain is terminated, then killed, so the
+    pool exits in bounded time (:meth:`WorkerSupervisor.shutdown`); a
     crashed worker is reaped and respawned from the parent's *current*
     model state while the restart budget lasts, after which the pool
     keeps serving with fewer workers.
@@ -47,7 +49,7 @@ import sys
 import threading
 import time
 import traceback
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from pathlib import Path
@@ -88,6 +90,10 @@ _MUTATION_TIMEOUT_SECONDS = 30.0
 
 #: How long the pool waits for every worker's ``ready`` handshake.
 _READY_TIMEOUT_SECONDS = 60.0
+
+#: Shutdown ladder: how long the supervisor waits past the drain window,
+#: then after ``terminate()``, then after ``kill()``, before the next rung.
+_ESCALATION_GRACE_SECONDS = 1.0
 
 #: Backlog of the parent-bound listener (matches a busy ThreadingHTTPServer
 #: better than the stdlib default of 5).
@@ -624,7 +630,17 @@ class WorkerSupervisor:
                 self.reap_and_restart()
 
     def shutdown(self) -> None:
-        """Drain every worker, then reap the whole pool."""
+        """Drain every worker, then reap the whole pool in bounded time.
+
+        A ladder, each rung bounded: the ``drain`` command gets
+        ``drain_timeout`` plus :data:`_ESCALATION_GRACE_SECONDS`; workers
+        still alive then get ``terminate()`` (SIGTERM), and the ones that
+        survive that — a worker's own handler absorbs SIGTERM once its
+        shutdown flag is set — get ``kill()`` (SIGKILL), one grace period
+        each.  Every worker is reaped within ``drain_timeout`` plus three
+        grace periods, so the parent never hangs in multiprocessing's exit
+        join on a stuck child.
+        """
         self._stop.set()
         with self._lock:
             pipes = dict(self._pipes)
@@ -634,19 +650,17 @@ class WorkerSupervisor:
                 pipe.send(("drain", self._drain_timeout))
             except (OSError, ValueError):
                 pass
-        deadline = time.monotonic() + self._drain_timeout + 5.0
-        for proc in procs.values():
-            remaining = deadline - time.monotonic()
-            proc.join(max(0.1, remaining))
-        for index, proc in procs.items():
-            if proc.is_alive():
-                print(
-                    f"worker {index} did not drain in time; terminating",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                proc.terminate()
-                proc.join(5.0)
+        _join_all(procs.values(), self._drain_timeout + _ESCALATION_GRACE_SECONDS)
+        rungs: tuple[tuple[str, Callable[[Any], None]], ...] = (
+            ("did not drain in time; terminating", lambda p: p.terminate()),
+            ("survived SIGTERM; killing", lambda p: p.kill()),
+        )
+        for message, escalate in rungs:
+            stuck = {i: p for i, p in procs.items() if p.is_alive()}
+            for index, proc in stuck.items():
+                print(f"worker {index} {message}", file=sys.stderr, flush=True)
+                escalate(proc)
+            _join_all(stuck.values(), _ESCALATION_GRACE_SECONDS)
         for pipe in pipes.values():
             try:
                 pipe.close()
@@ -655,6 +669,13 @@ class WorkerSupervisor:
         with self._lock:
             self._pipes.clear()
             self._procs.clear()
+
+
+def _join_all(procs: Iterable[Any], timeout: float) -> None:
+    """Join ``procs`` against one shared deadline ``timeout`` seconds out."""
+    deadline = time.monotonic() + timeout
+    for proc in procs:
+        proc.join(max(0.0, deadline - time.monotonic()))
 
 
 def _build_parent_listener(host: str, port: int) -> socket.socket:

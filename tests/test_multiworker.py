@@ -1,8 +1,8 @@
 """Multi-worker serving (``repro serve --workers N``), subprocess-driven.
 
-Four contracts, each against real forked pools started through the CLI
-(fork inside a threaded test process is not safe, so every server here
-is its own process tree):
+Five contracts, each against real forked pools started through the CLI
+or a ``-c`` script (fork inside a threaded test process is not safe, so
+every pool here is its own process tree):
 
 - **bit-parity** — a pool's response bodies are byte-identical to the
   single-process server's, pinned with the same CRC32 technique as the
@@ -11,7 +11,11 @@ is its own process tree):
   same order while request traffic keeps flowing, and the pool converges
   to one (generation, implementations) pair;
 - **SIGTERM drains all workers** — the parent fans the drain out and the
-  whole tree exits cleanly;
+  whole tree exits cleanly, also right after a connection that woke
+  every worker's ``select()`` on the shared listener;
+- **bounded shutdown** — a worker that ignores both the drain and
+  SIGTERM is still killed and reaped within the drain timeout plus the
+  escalation grace periods;
 - **crash restarts** — a SIGKILLed worker is respawned under the restart
   budget and the pool keeps serving.
 """
@@ -22,6 +26,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -304,6 +309,118 @@ class TestSigtermDrain:
                 break
             time.sleep(0.1)
         assert not alive, f"workers survived the drain: {alive}"
+
+
+    def test_accept_race_loser_returns_to_its_serve_loop(self):
+        # One connection wakes every worker's select() on the shared
+        # listener, and only one accept() gets it.  Replay a loser's turn
+        # deterministically: select() said readable, nothing is pending.
+        # It must return to serve_forever (where shutdown() reaches it),
+        # not block in accept() until the next connection arrives.
+        from http.server import BaseHTTPRequestHandler
+
+        from repro.service import _build_server
+
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        server = _build_server(
+            "127.0.0.1", 0, BaseHTTPRequestHandler, listen_socket=listener
+        )
+        returned = threading.Event()
+
+        def lose_the_race() -> None:
+            server._handle_request_noblock()
+            returned.set()
+
+        threading.Thread(target=lose_the_race, daemon=True).start()
+        try:
+            assert returned.wait(5.0), "the accept() loser blocked"
+        finally:
+            server.server_close()
+
+    def test_one_connection_then_sigterm_exits_within_drain_timeout(
+        self, library_path, action_labels
+    ):
+        # End to end: after one connection, whichever worker lost the
+        # accept() race must still drain, so the pool exits promptly.
+        drain_timeout = 3.0
+        pool = ServerProcess(
+            library_path, 2, "--drain-timeout", str(drain_timeout)
+        )
+        try:
+            status, _body = pool.request(
+                "/recommend", {"activity": [action_labels[0]], "k": 3}
+            )
+            assert status == 200
+            started = time.monotonic()
+            pool.proc.send_signal(signal.SIGTERM)
+            pool.proc.wait(drain_timeout + 2.0)
+            elapsed = time.monotonic() - started
+        finally:
+            code = pool.stop()
+        assert code == 0
+        assert elapsed <= drain_timeout + 2.0
+
+
+_STUBBORN_POOL = """
+import json, os, signal, sys, time
+from repro.serving import workers
+
+def stubborn(conn):
+    # Ignores SIGTERM and never answers the drain command; leaves only
+    # once orphaned, so a supervisor that fails the test leaks nothing.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    parent = os.getppid()
+    conn.send(("ready", 0, 0))
+    while os.getppid() == parent:
+        time.sleep(0.2)
+
+class StubbornSupervisor(workers.WorkerSupervisor):
+    def _spawn_locked(self, index):
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(target=stubborn, args=(child_conn,))
+        proc.start()
+        child_conn.close()
+        self._pipes[index] = parent_conn
+        self._procs[index] = proc
+        parent_conn.recv()  # the child has installed SIG_IGN
+
+supervisor = StubbornSupervisor(
+    incremental=None, frozen=None, arena=None, host="127.0.0.1", port=0,
+    workers=2, restart_budget=0, drain_timeout=float(sys.argv[1]),
+    listen_socket=None, service_kwargs={},
+)
+supervisor.start()
+procs = list(supervisor._procs.values())
+started = time.monotonic()
+supervisor.shutdown()
+print(json.dumps({
+    "elapsed": time.monotonic() - started,
+    "exitcodes": [proc.exitcode for proc in procs],
+    "grace": workers._ESCALATION_GRACE_SECONDS,
+}))
+"""
+
+
+class TestShutdownLadder:
+    def test_worker_ignoring_sigterm_is_killed_within_the_ladder(self):
+        drain_timeout = 1.0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        completed = subprocess.run(
+            [sys.executable, "-c", _STUBBORN_POOL, str(drain_timeout)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout.strip().splitlines()[-1])
+        # Drain window + one grace, SIGTERM + one grace, SIGKILL: reaped.
+        assert report["exitcodes"] == [-signal.SIGKILL, -signal.SIGKILL]
+        assert report["elapsed"] <= drain_timeout + 3 * report["grace"] + 1.0
+        assert "survived SIGTERM; killing" in completed.stderr
 
 
 def _pid_alive(pid: int) -> bool:

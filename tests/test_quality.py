@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter, deque
+from collections.abc import Mapping
 
 import pytest
 
@@ -220,6 +222,145 @@ class TestDriftDetector:
             DriftDetector(recompute_every=0)
 
 
+class CountingMapping(Mapping):
+    """A read-only mapping that records every key it is asked about."""
+
+    def __init__(self, data):
+        self._data = dict(data)
+        self.reads = set()
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return self._data[key]
+
+    def __contains__(self, key):
+        self.reads.add(key)
+        return key in self._data
+
+    def __iter__(self):
+        self.reads.update(self._data)
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+def replay_against_reference(detector, baseline, stream):
+    """Feed ``stream``; after each step compare with the reference PSI.
+
+    Mirrors the detector's sliding window independently and returns the
+    largest absolute gap between ``detector.score()`` and
+    :func:`population_stability_index` over the mirrored window.
+    """
+    window = deque()
+    worst = 0.0
+    for labels in stream:
+        detector.observe(labels)
+        for label in labels:
+            if len(window) == detector.window_size:
+                window.popleft()
+            window.append(label)
+        live = {
+            label: count / len(window)
+            for label, count in Counter(window).items()
+        }
+        reference = population_stability_index(baseline.distribution, live)
+        worst = max(worst, abs(detector.score() - reference))
+    return worst
+
+
+class TestWindowSizedPSI:
+    """The detector's O(|window|) recompute equals the reference PSI."""
+
+    def test_parity_with_oov_and_eviction(self):
+        vocabulary = [f"a{i}" for i in range(40)]
+        rng = random.Random(5)
+        baseline = BaselineProfile.from_counts(
+            {label: rng.randint(1, 9) for label in vocabulary[:30]}
+        )
+        # Labels a30..a39 are out of vocabulary; a 32-label window evicts.
+        stream = seeded_stream(17, 400, vocabulary)
+        detector = DriftDetector(window_size=32, recompute_every=1)
+        detector.set_baseline(baseline)
+        assert replay_against_reference(detector, baseline, stream) <= 1e-12
+        assert detector.score() > 0.0
+
+    def test_parity_survives_set_baseline_resets(self):
+        vocabulary = [f"a{i}" for i in range(20)]
+        detector = DriftDetector(window_size=16, recompute_every=1)
+        for generation, seed in enumerate((1, 2, 3)):
+            rng = random.Random(seed)
+            baseline = BaselineProfile.from_counts(
+                {label: rng.randint(0, 5) for label in vocabulary},
+                generation=generation,
+            )
+            detector.set_baseline(baseline)
+            stream = seeded_stream(seed, 100, vocabulary + ["oov"])
+            assert (
+                replay_against_reference(detector, baseline, stream) <= 1e-12
+            )
+
+    def test_parity_at_paper_scale(self):
+        rng = random.Random(10880)
+        vocabulary = [f"action_{i:05d}" for i in range(10880)]
+        baseline = BaselineProfile.from_counts(
+            {label: rng.randint(1, 50) for label in vocabulary}
+        )
+        stream = [
+            sorted(
+                {rng.choice(vocabulary) for _ in range(rng.randint(1, 5))}
+                | ({f"oov_{rng.randrange(8)}"} if rng.random() < 0.1 else set())
+            )
+            for _ in range(300)
+        ]
+        detector = DriftDetector(window_size=256, recompute_every=16)
+        detector.set_baseline(baseline)
+        window = deque()
+        since_recompute = 0
+        checked = 0
+        for labels in stream:
+            detector.observe(labels)
+            for label in labels:
+                if len(window) == 256:
+                    window.popleft()
+                window.append(label)
+            # The detector recomputes once 16 labels have arrived.
+            since_recompute += len(labels)
+            if since_recompute >= 16:
+                since_recompute = 0
+                live = {
+                    label: count / len(window)
+                    for label, count in Counter(window).items()
+                }
+                reference = population_stability_index(
+                    baseline.distribution, live
+                )
+                assert abs(detector.score() - reference) <= 1e-12
+                checked += 1
+        assert checked >= 20
+
+    def test_recompute_reads_only_window_labels(self):
+        rng = random.Random(3)
+        vocabulary = [f"a{i}" for i in range(500)]
+        distribution = CountingMapping(
+            BaselineProfile.from_counts(
+                {label: rng.randint(1, 9) for label in vocabulary}
+            ).distribution
+        )
+        detector = DriftDetector(window_size=24, recompute_every=1)
+        detector.set_baseline(BaselineProfile(distribution))
+        window = deque()
+        for labels in seeded_stream(4, 60, vocabulary[:50] + ["oov"]):
+            distribution.reads.clear()
+            detector.observe(labels)
+            for label in labels:
+                if len(window) == 24:
+                    window.popleft()
+                window.append(label)
+            assert distribution.reads <= set(window)
+        assert detector.score() > 0.0
+
+
 class TestSLOTracker:
     def test_burn_rates_scale_with_the_objective(self, registry):
         tracker = SLOTracker(
@@ -311,6 +452,50 @@ class TestQualityMonitor:
         assert 'repro_quality_space_size_items_count{space="is"} 2' in rendered
         assert 'repro_quality_space_size_items_count{space="gs"} 2' in rendered
         assert 'repro_quality_space_size_items_count{space="as"} 2' in rendered
+
+    def test_space_sizes_from_the_engine_match_the_scalar_path(self):
+        from repro.core.caching import CachedModelView
+        from repro.data import FortyThreeConfig, generate_fortythree
+
+        dataset = generate_fortythree(FortyThreeConfig.tiny(), seed=2)
+        model = AssociationGoalModel.from_library(dataset.library)
+        view = CachedModelView(model)
+        assert view.csr_engine() is not None
+        rng = random.Random(9)
+        labels = sorted(model.action_labels())
+        activities = [
+            model.encode_activity(rng.sample(labels, k=rng.randint(0, 5)))
+            for _ in range(60)
+        ]
+        rendered = []
+        for target in (model, view):
+            registry = MetricsRegistry()
+            previous = obs.set_registry(registry)
+            obs.enable(metrics=True, tracing=False)
+            try:
+                monitor = QualityMonitor(space_sample_every=3)
+                for encoded in activities:
+                    result = GoalRecommender(model).recommend(
+                        [model.action_label(aid) for aid in encoded], k=3
+                    )
+                    monitor.observe_recommend(
+                        "breadth", target, encoded, result
+                    )
+            finally:
+                obs.disable()
+                obs.set_registry(previous)
+            rendered.append(
+                [
+                    line
+                    for line in registry.render().splitlines()
+                    if line.startswith("repro_quality_space_size_items")
+                ]
+            )
+        scalar, engine = rendered
+        assert 'repro_quality_space_size_items_count{space="is"} 20' in scalar
+        assert engine == scalar
+        # The engine path ran no scalar space query through the view.
+        assert view.space_cache.stats().misses == 0
 
     def test_observe_traffic_oov_and_coverage(self, registry, recipe_model):
         monitor = QualityMonitor(window_size=2)

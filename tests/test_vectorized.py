@@ -1,6 +1,8 @@
 """Equivalence tests: the vectorized engine must match the reference
 strategies bit for bit (same actions, same order, same scores)."""
 
+import random
+
 import pytest
 
 from repro.core import AssociationGoalModel, GoalRecommender
@@ -142,3 +144,84 @@ class TestApi:
         )
         expected = batch.recommend({"a1"}, k=5, strategy="focus_cmp")
         assert results[0].actions() == expected.actions()
+
+
+def _scalar_sizes(model, activity):
+    """``(|IS|, |GS|, |AS|, |AS − H|)`` from the scalar set queries."""
+    return (
+        len(model.implementation_space(activity)),
+        len(model.goal_space(activity)),
+        len(model.action_space(activity)),
+        len(model.candidate_actions(activity)),
+    )
+
+
+def _random_activities(model, seed, n=40):
+    """Seeded label activities: random, empty, unknown-only and mixed."""
+    rng = random.Random(seed)
+    labels = sorted(model.action_labels())
+    activities = [
+        set(rng.sample(labels, k=rng.randint(1, 6))) for _ in range(n)
+    ]
+    activities += [set(), {"martian"}, {"martian", labels[0]}]
+    return activities
+
+
+class TestSpaceSizes:
+    def test_matches_scalar_queries(self, scenarios, figure1_model):
+        for model, _reference, batch, user_activities in scenarios:
+            activities = _random_activities(model, seed=7) + user_activities
+            for activity in activities:
+                encoded = model.encode_activity(activity)
+                assert batch.space_sizes(encoded) == _scalar_sizes(
+                    model, encoded
+                ), sorted(activity)[:4]
+        # Paper Example 4.3: a1 reaches p1,p2,p3,p5 -> 4 goals, 6 actions.
+        batch = BatchRecommender(figure1_model)
+        assert batch.space_sizes(figure1_model.encode_activity({"a1"})) == (
+            4, 4, 6, 5,
+        )
+
+    def test_holds_across_a_hot_reload(self):
+        from repro.core.incremental import IncrementalGoalModel
+        from repro.service import ModelManager
+
+        dataset = generate_fortythree(FortyThreeConfig.tiny(), seed=3)
+        incremental = IncrementalGoalModel.from_library(dataset.library)
+        initial = incremental.freeze()
+        arrays = BatchRecommender(initial).export_arrays()
+        manager = ModelManager(
+            incremental,
+            engine_factory=lambda: BatchRecommender.from_arrays(
+                initial, arrays
+            ),
+        )
+
+        def check(snapshot, seed):
+            engine = snapshot.recommender.csr_engine()
+            assert engine is not None
+            frozen = snapshot.frozen
+            for activity in _random_activities(frozen, seed):
+                encoded = frozen.encode_activity(activity)
+                assert engine.space_sizes(encoded) == _scalar_sizes(
+                    frozen, encoded
+                ), sorted(activity)[:4]
+
+        check(manager.snapshot(), seed=11)  # the from_arrays engine
+        labels = sorted(initial.action_labels())
+        manager.apply_add_implementations(
+            [("hot goal", [labels[0], labels[1], "hot action"])]
+        )
+        manager.apply_remove_implementation(0)
+        snapshot = manager.snapshot()
+        assert snapshot.generation == 2
+        check(snapshot, seed=12)
+        # The mutated generation round-trips through from_arrays too.
+        rebuilt = BatchRecommender.from_arrays(
+            snapshot.frozen, BatchRecommender(snapshot.frozen).export_arrays()
+        )
+        for activity in _random_activities(snapshot.frozen, seed=13):
+            encoded = snapshot.frozen.encode_activity(activity)
+            assert rebuilt.space_sizes(encoded) == _scalar_sizes(
+                snapshot.frozen, encoded
+            )
